@@ -123,6 +123,27 @@ class TpchRandom64:
             raise ValueError("cannot choose from an empty sequence")
         return items[self.random_int(0, len(items) - 1)]
 
+    def choices(self, items, count: int) -> list:
+        """``count`` calls of :meth:`choice` in one loop.
+
+        Returns exactly the values, and leaves exactly the state, that the
+        ``choice`` loop would: the splitmix64 step of :meth:`next_raw` is
+        inlined so bulk text generation skips two calls per draw.
+        """
+        if not items:
+            raise ValueError("cannot choose from an empty sequence")
+        size = len(items)
+        state = self._state
+        picked = []
+        append = picked.append
+        for _ in range(count):
+            state = (state + 0x9E3779B97F4A7C15) & _INT64_MASK
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _INT64_MASK
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _INT64_MASK
+            append(items[(z ^ (z >> 31)) % size])
+        self._state = state
+        return picked
+
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
         for i in range(len(items) - 1, 0, -1):
@@ -133,6 +154,14 @@ class TpchRandom64:
         """Discard ``count`` values."""
         for _ in range(count):
             self.next_raw()
+
+    def getstate(self) -> int:
+        """The generator's state; ``setstate`` of it resumes the stream."""
+        return self._state
+
+    def setstate(self, state: int) -> None:
+        """Resume the stream at a state returned by :meth:`getstate`."""
+        self._state = state & _INT64_MASK
 
 
 class SeedStream:
@@ -145,12 +174,25 @@ class SeedStream:
 
     def __init__(self, master_seed: int):
         self.master_seed = master_seed
+        # First path part -> SHA-256 already fed "master:head".  The hot
+        # per-op paths share a handful of heads ("op", "client", ...).
+        self._prefixes: dict = {}
 
     def seed_for(self, *path) -> int:
-        """Return the 64-bit seed associated with a component path."""
-        text = f"{self.master_seed}:" + "/".join(str(part) for part in path)
-        digest = hashlib.sha256(text.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big")
+        """Return the 64-bit seed associated with a component path.
+
+        The seed hashes ``f"{master_seed}:" + "/".join(map(str, path))``;
+        the hash of the first part is computed once and copied per call.
+        """
+        head = str(path[0]) if path else ""
+        hasher = self._prefixes.get(head)
+        if hasher is None:
+            hasher = hashlib.sha256(f"{self.master_seed}:{head}".encode("utf-8"))
+            self._prefixes[head] = hasher
+        if len(path) > 1:
+            hasher = hasher.copy()
+            hasher.update(("/" + "/".join(map(str, path[1:]))).encode("utf-8"))
+        return int.from_bytes(hasher.digest()[:8], "big")
 
     def rng_for(self, *path) -> TpchRandom64:
         """Return a fresh :class:`TpchRandom64` for a component path."""

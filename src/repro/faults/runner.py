@@ -48,6 +48,7 @@ from repro.ycsb.workloads import (
     OP_SCAN,
     OP_UPDATE,
     WorkloadSpec,
+    load_records,
     make_field_value,
     make_key,
     make_record,
@@ -498,8 +499,8 @@ class FaultedYcsbRun:
 
     def load(self) -> None:
         """Insert records 0 .. record_count-1 (no faults fire during load)."""
-        for i in range(self.record_count):
-            self.cluster.insert(make_key(i), make_record(self._data_rng))
+        for i, record in enumerate(load_records(self._data_rng, self.record_count)):
+            self.cluster.insert(make_key(i), record)
         # Load-phase writes don't owe the run phase their ack bookkeeping.
         consume_ack = getattr(self.cluster, "consume_ack_delay", None)
         if consume_ack is not None:

@@ -9,6 +9,7 @@ task counts (one task per file, or per 256 MB block for bigger files).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -52,13 +53,18 @@ class HiveTableLayout:
         if self.nonempty_bucket_fraction >= 1.0:
             return [total / self.file_count] * self.file_count
 
-        # Sparse-orderkey tables: mark which bucket ids ever receive a key.
-        occupied = {orderkey_bucket(sparse_orderkey(i), self.bucket_count)
-                    for i in range(1, 8 * self.bucket_count + 1)}
+        occupied = _occupied_buckets(self.bucket_count)
         sizes = []
         for bucket_id in range(self.bucket_count):
             sizes.append(per_file if bucket_id in occupied else 0.0)
         return sizes * self.partition_count
+
+
+@functools.lru_cache(maxsize=8)
+def _occupied_buckets(bucket_count: int) -> frozenset:
+    """Sparse-orderkey tables: the bucket ids that ever receive a key."""
+    return frozenset(orderkey_bucket(sparse_orderkey(i), bucket_count)
+                     for i in range(1, 8 * bucket_count + 1))
 
 
 # The paper's Table 1.  Lineitem and orders carry 512 buckets on their order

@@ -71,11 +71,11 @@ class DbGen:
 
     def _words(self, rng: TpchRandom64, low: int, high: int) -> str:
         count = rng.random_int(low, high)
-        return " ".join(rng.choice(text.COMMENT_WORDS) for _ in range(count))
+        return " ".join(rng.choices(text.COMMENT_WORDS, count))
 
     def _address(self, rng: TpchRandom64) -> str:
         length = rng.random_int(10, 40)
-        return "".join(rng.choice(_ALNUM) for _ in range(length)).strip()
+        return "".join(rng.choices(_ALNUM, length)).strip()
 
     def _phone(self, rng: TpchRandom64, nationkey: int) -> str:
         return (

@@ -34,6 +34,7 @@ from repro.ycsb.workloads import (
     RECORD_BYTES,
     WORKLOADS,
     WorkloadSpec,
+    load_records,
     make_field_value,
     make_key,
     make_record,
@@ -72,6 +73,7 @@ __all__ = [
     "RECORD_BYTES",
     "WORKLOADS",
     "WorkloadSpec",
+    "load_records",
     "make_field_value",
     "make_key",
     "make_record",

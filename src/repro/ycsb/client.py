@@ -30,6 +30,7 @@ from repro.ycsb.workloads import (
     OP_RMW,
     OP_UPDATE,
     WorkloadSpec,
+    load_records,
     make_field_value,
     make_key,
     make_record,
@@ -91,8 +92,8 @@ class YcsbClient:
 
     def load(self) -> None:
         """Insert records 0 .. record_count-1 (ordered keys, as the paper)."""
-        for i in range(self.record_count):
-            self.cluster.insert(make_key(i), make_record(self._data_rng))
+        for i, record in enumerate(load_records(self._data_rng, self.record_count)):
+            self.cluster.insert(make_key(i), record)
 
     # -- run phase ---------------------------------------------------------------------
 

@@ -8,6 +8,7 @@ records, and each append inserts the next key after the largest loaded key.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.common.errors import WorkloadError
@@ -18,6 +19,9 @@ FIELD_COUNT = 10
 FIELD_LENGTH = 100
 RECORD_BYTES = KEY_LENGTH + FIELD_COUNT * FIELD_LENGTH
 MAX_SCAN_LENGTH = 1000
+
+_ALPHABET = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+_FIELD_NAMES = tuple(f"field{i}" for i in range(FIELD_COUNT))
 
 OP_READ = "read"
 OP_UPDATE = "update"
@@ -88,13 +92,31 @@ def make_key(index: int) -> str:
 
 def make_record(rng: TpchRandom64) -> dict[str, str]:
     """Ten random 100-byte string fields."""
-    alphabet = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
-    return {
-        f"field{i}": "".join(rng.choice(alphabet) for _ in range(FIELD_LENGTH))
-        for i in range(FIELD_COUNT)
-    }
+    text = "".join(rng.choices(_ALPHABET, FIELD_COUNT * FIELD_LENGTH))
+    return {name: text[i * FIELD_LENGTH:(i + 1) * FIELD_LENGTH]
+            for i, name in enumerate(_FIELD_NAMES)}
 
 
 def make_field_value(rng: TpchRandom64) -> str:
-    alphabet = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
-    return "".join(rng.choice(alphabet) for _ in range(FIELD_LENGTH))
+    return "".join(rng.choices(_ALPHABET, FIELD_LENGTH))
+
+
+def load_records(rng: TpchRandom64, count: int) -> list[dict[str, str]]:
+    """The ``count`` initial records: ``make_record(rng)`` called ``count`` times.
+
+    ``rng`` is left where that loop leaves it.  The field values are a
+    memoized pure function of (``rng``'s state, ``count``), so a sweep whose
+    runs share a seed generates its data set once; every call still returns
+    fresh dicts, so no store can alias a cached record.
+    """
+    rows, end_state = _initial_records(rng.getstate(), count)
+    rng.setstate(end_state)
+    return [dict(zip(_FIELD_NAMES, row)) for row in rows]
+
+
+@functools.lru_cache(maxsize=4)
+def _initial_records(state: int, count: int) -> tuple[tuple[tuple[str, ...], ...], int]:
+    """Field values of ``count`` records drawn from ``state``, and the end state."""
+    rng = TpchRandom64(state)
+    rows = tuple(tuple(make_record(rng).values()) for _ in range(count))
+    return rows, rng.getstate()

@@ -1,5 +1,7 @@
 """Tests for the dbgen-style RNGs, including the paper's RANDOM overflow bug."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,6 +81,33 @@ class TestTpchRandom64:
         with pytest.raises(ValueError):
             rng.choice([])
 
+    @given(st.integers(min_value=0, max_value=2**64 - 1),
+           st.integers(min_value=0, max_value=300),
+           st.one_of(st.text(min_size=1, max_size=70),
+                     st.lists(st.integers(), min_size=1, max_size=40)))
+    @settings(max_examples=100)
+    def test_choices_matches_choice_loop(self, seed, count, items):
+        bulk, looped = TpchRandom64(seed), TpchRandom64(seed)
+        assert bulk.choices(items, count) == [looped.choice(items)
+                                              for _ in range(count)]
+        assert bulk.getstate() == looped.getstate()
+        assert bulk.next_raw() == looped.next_raw()
+
+    @pytest.mark.parametrize("empty", ["", []])
+    def test_choices_rejects_empty_items(self, empty):
+        rng = TpchRandom64(3)
+        with pytest.raises(ValueError, match="empty sequence"):
+            rng.choices(empty, 5)
+        assert rng.getstate() == TpchRandom64(3).getstate()
+
+    def test_setstate_resumes_stream(self):
+        rng = TpchRandom64(8)
+        rng.skip(17)
+        resumed = TpchRandom64(0)
+        resumed.setstate(rng.getstate())
+        assert [resumed.next_raw() for _ in range(5)] == [
+            rng.next_raw() for _ in range(5)]
+
     def test_distribution_roughly_uniform(self):
         rng = TpchRandom64(seed=11)
         counts = [0] * 10
@@ -102,3 +131,36 @@ class TestSeedStream:
         assert [r1.random_int(0, 10**9) for _ in range(4)] != [
             r2.random_int(0, 10**9) for _ in range(4)
         ]
+
+
+def _reference_seed(master_seed, *path) -> int:
+    """The seed formula before per-prefix hashing: hash the whole path."""
+    text = f"{master_seed}:" + "/".join(str(part) for part in path)
+    return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8],
+                          "big")
+
+
+class TestSeedForPrefixCache:
+    def test_matches_full_path_hash_for_1000_indices(self):
+        stream = SeedStream(1234)
+        for index in range(1000):
+            assert stream.seed_for("op", index) == _reference_seed(1234, "op", index)
+            assert stream.seed_for("op-fault", index, 2) == _reference_seed(
+                1234, "op-fault", index, 2)
+
+    @pytest.mark.parametrize("path", [
+        (), ("",), ("arrivals",), (7,), (7, "x"), (2.5, 3, "y"), ("a", 1.0),
+        (True,), (1,), ("1",), ("frontier", "mongo-as", "A", 0.25, 3),
+    ])
+    def test_matches_full_path_hash_for_mixed_parts(self, path):
+        stream = SeedStream(42)
+        # Twice: the second call is served from the cached prefix.
+        assert stream.seed_for(*path) == _reference_seed(42, *path)
+        assert stream.seed_for(*path) == _reference_seed(42, *path)
+
+    def test_prefix_cache_does_not_leak_between_paths(self):
+        stream = SeedStream(5)
+        paths = [("op",), ("op", 1), ("op",), ("op", 1, 2), (True,), (1,),
+                 ("op", 1)]
+        assert [stream.seed_for(*p) for p in paths] == [
+            _reference_seed(5, *p) for p in paths]

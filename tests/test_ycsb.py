@@ -14,6 +14,8 @@ from repro.ycsb import (
     WORKLOADS,
     YcsbClient,
     ZipfianGenerator,
+    load_records,
+    make_field_value,
     make_key,
     make_record,
 )
@@ -101,6 +103,63 @@ class TestWorkloads:
         record = make_record(TpchRandom64(7))
         assert len(record) == 10
         assert all(len(v) == 100 for v in record.values())
+
+
+_ALPHABET = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+
+
+def _reference_record(rng):
+    """The record generator before bulk draws: one ``choice`` per character."""
+    return {f"field{i}": "".join(rng.choice(_ALPHABET) for _ in range(100))
+            for i in range(10)}
+
+
+class _RecordingCluster:
+    """Just enough of a cluster to capture what a load phase inserts."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def insert(self, key, record):
+        self.rows[key] = dict(record)
+
+
+class TestLoadRecords:
+    def test_records_and_field_values_unchanged_by_bulk_draws(self):
+        rng, reference = TpchRandom64(21), TpchRandom64(21)
+        assert make_record(rng) == _reference_record(reference)
+        assert make_field_value(rng) == "".join(
+            reference.choice(_ALPHABET) for _ in range(100))
+        assert rng.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("seed", [1, 7, 2**63 + 5])
+    @pytest.mark.parametrize("count", [2, 37])
+    def test_matches_per_record_loop(self, seed, count):
+        # Twice: the first call may fill the memo, the second is served by it.
+        for _ in range(2):
+            rng, reference = TpchRandom64(seed), TpchRandom64(seed)
+            assert load_records(rng, count) == [
+                _reference_record(reference) for _ in range(count)]
+            assert rng.getstate() == reference.getstate()
+
+    def test_loaded_records_are_fresh_copies(self):
+        first = load_records(TpchRandom64(99), 5)
+        original = [dict(record) for record in first]
+        first[0]["field0"] = "mutated"
+        del first[1]["field3"]
+        again = load_records(TpchRandom64(99), 5)
+        assert again == original
+        assert all(a is not b for a, b in zip(first, again))
+
+    def test_functional_and_faulted_clients_load_identical_data(self):
+        from repro.faults.runner import FaultedYcsbRun
+
+        plain, faulted = _RecordingCluster(), _RecordingCluster()
+        YcsbClient(plain, WORKLOADS["A"], record_count=50, seed=17).load()
+        FaultedYcsbRun(faulted, WORKLOADS["A"], record_count=50,
+                       operations=1, seed=17).load()
+        assert plain.rows == faulted.rows
+        assert list(plain.rows) == [make_key(i) for i in range(50)]
 
 
 @pytest.mark.parametrize(
